@@ -39,7 +39,8 @@ uint64_t Fnv1aExtend(uint64_t hash, const uint8_t* data, size_t size) {
   return hash;
 }
 
-Result<ExecutionResult> Execute(Operator* root, ExecStats* stats) {
+Result<ExecutionResult> Execute(Operator* root, ExecStats* stats,
+                                const BlockSink& on_block) {
   if (root == nullptr || stats == nullptr) {
     return Status::InvalidArgument("Execute: null dependency");
   }
@@ -71,6 +72,7 @@ Result<ExecutionResult> Execute(Operator* root, ExecStats* stats) {
       checksum = Fnv1aExtend(checksum, block->tuple(0),
                              static_cast<size_t>(block->size()) *
                                  static_cast<size_t>(width));
+      if (on_block != nullptr) RODB_RETURN_IF_ERROR(on_block(*block));
     }
     result.output_checksum = checksum;
   }

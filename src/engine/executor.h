@@ -1,6 +1,7 @@
 #ifndef RODB_ENGINE_EXECUTOR_H_
 #define RODB_ENGINE_EXECUTOR_H_
 
+#include <functional>
 #include <vector>
 
 #include "common/stopwatch.h"
@@ -34,9 +35,18 @@ struct ExecutionResult {
   MeasuredInterval measured;
 };
 
-/// Drives a plan to completion: Open, pull all blocks, Close. The stats
-/// sink accumulates the counters the hardware model consumes.
-Result<ExecutionResult> Execute(Operator* root, ExecStats* stats);
+/// Sees every non-empty output block, in order; a non-OK return stops
+/// the run with that status.
+using BlockSink = std::function<Status(const TupleBlock& block)>;
+
+/// Drives a plan to completion: Open, pull all blocks under the stats'
+/// liveness checks, Close. The stats sink accumulates the counters the
+/// hardware model consumes; a trace attached to it is finalized from
+/// them. `on_block` (optional) runs on each non-empty block after it is
+/// folded into the checksum -- the one serial drain loop, shared by the
+/// query server's per-row digests and collected rows.
+Result<ExecutionResult> Execute(Operator* root, ExecStats* stats,
+                                const BlockSink& on_block = nullptr);
 
 /// The disk streams a scan reads, for the disk-array model: the single
 /// row file, or one stream per column the query touches (pipeline order).

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "common/macros.h"
-#include "common/scope_guard.h"
 #include "common/stopwatch.h"
 #include "engine/executor.h"
 #include "engine/open_scanner.h"
@@ -16,7 +15,6 @@
 #include "engine/zone_pruner.h"
 #include "io/file_backend.h"
 #include "obs/metrics.h"
-#include "obs/span.h"
 #include "wos/segment_source.h"
 
 namespace rodb {
@@ -83,58 +81,43 @@ ScanSpec SpecFromRequest(const QueryRequest& request, const Schema& schema,
   return spec;
 }
 
-/// The serial drain every non-parallel execution shares: opens the
-/// plan, pulls blocks to exhaustion under the context's liveness
-/// checks, and folds rows/blocks/checksum/digest (and collected rows,
-/// under budgeted reservations) into `result`. Counters stay in
-/// `stats`; the caller copies them out after any trace finalization.
-Status DrainSerial(Operator* plan, const QueryRequest& request,
-                   QueryContext* ctx, ExecStats* stats, QueryResult* result) {
-  obs::SpanTimer query_span(stats->trace(), obs::TracePhase::kQuery);
-  {
-    obs::SpanTimer open_span(stats->trace(), obs::TracePhase::kOpen);
-    RODB_RETURN_IF_ERROR(plan->Open());
-  }
-  auto close_guard = MakeScopeGuard([&] {
-    plan->Close();
-    stats->FoldIo();
-  });
-  uint64_t checksum = kFnv1aSeed;
-  const int width = plan->output_layout().tuple_width;
+/// Runs `plan` through the engine's serial drain loop (engine Execute)
+/// with a per-block step that folds the order-independent row digest
+/// and, when requested, collects rows under budgeted reservations. Fills
+/// rows/blocks/checksum/digest and the counters into `result`.
+Status ExecuteSerial(Operator* plan, const QueryRequest& request,
+                     const QueryContext& ctx, ExecStats* stats,
+                     QueryResult* result) {
+  const size_t width =
+      static_cast<size_t>(plan->output_layout().tuple_width);
   std::vector<MemoryReservation> row_reservations;
   uint64_t reserved_bytes = 0;
-  while (true) {
-    RODB_RETURN_IF_ERROR(stats->CheckAlive());
-    RODB_ASSIGN_OR_RETURN(TupleBlock * block, plan->Next());
-    if (block == nullptr) break;
-    if (block->empty()) continue;
-    result->blocks += 1;
-    const size_t block_bytes =
-        static_cast<size_t>(block->size()) * static_cast<size_t>(width);
-    checksum = Fnv1aExtend(checksum, block->tuple(0), block_bytes);
-    for (uint32_t i = 0; i < block->size(); ++i) {
-      result->row_digest += Fnv1aExtend(kFnv1aSeed, block->tuple(i),
-                                        static_cast<size_t>(width));
-      ++result->rows;
-      if (request.collect_rows &&
-          (request.limit_rows == 0 ||
-           result->rows_collected < request.limit_rows)) {
-        const uint64_t needed =
-            result->row_data.size() + static_cast<uint64_t>(width);
-        if (needed > reserved_bytes) {
-          constexpr uint64_t kChunk = 256 * 1024;
-          RODB_ASSIGN_OR_RETURN(MemoryReservation hold,
-                                ctx->ReserveMemory(kChunk));
-          row_reservations.push_back(std::move(hold));
-          reserved_bytes += kChunk;
-        }
-        result->row_data.insert(result->row_data.end(), block->tuple(i),
-                                block->tuple(i) + width);
-        ++result->rows_collected;
+  const auto fold_rows = [&](const TupleBlock& block) -> Status {
+    for (uint32_t i = 0; i < block.size(); ++i) {
+      result->row_digest += Fnv1aExtend(kFnv1aSeed, block.tuple(i), width);
+      if (!request.collect_rows ||
+          (request.limit_rows > 0 &&
+           result->rows_collected >= request.limit_rows)) {
+        continue;
       }
+      if (result->row_data.size() + width > reserved_bytes) {
+        constexpr uint64_t kChunk = 256 * 1024;
+        RODB_ASSIGN_OR_RETURN(MemoryReservation hold,
+                              ctx.ReserveMemory(kChunk));
+        row_reservations.push_back(std::move(hold));
+        reserved_bytes += kChunk;
+      }
+      result->row_data.insert(result->row_data.end(), block.tuple(i),
+                              block.tuple(i) + width);
+      ++result->rows_collected;
     }
-  }
-  result->output_checksum = checksum;
+    return Status::OK();
+  };
+  RODB_ASSIGN_OR_RETURN(ExecutionResult run, Execute(plan, stats, fold_rows));
+  result->rows = run.rows;
+  result->blocks = run.blocks;
+  result->output_checksum = run.output_checksum;
+  result->counters = stats->counters();
   return Status::OK();
 }
 
@@ -433,12 +416,8 @@ Result<QueryResult> QueryEngine::ExecuteExclusive(const QueryRequest& request,
   RODB_ASSIGN_OR_RETURN(OperatorPtr plan, PlanBuilder::Scan(&table, spec,
                                                             backend_, &stats)
                                               .Build());
-  RODB_RETURN_IF_ERROR(DrainSerial(plan.get(), request, &ctx, &stats,
-                                   &result));
-  if (request.trace != nullptr) {
-    request.trace->FinalizeFromCounters(stats.counters());
-  }
-  result.counters = stats.counters();
+  RODB_RETURN_IF_ERROR(ExecuteSerial(plan.get(), request, ctx, &stats,
+                                     &result));
   return result;
 }
 
@@ -503,12 +482,8 @@ Result<QueryResult> QueryEngine::ExecuteIngest(
 
   RODB_ASSIGN_OR_RETURN(OperatorPtr plan,
                         UnionAllOperator::Make(std::move(children), &stats));
-  RODB_RETURN_IF_ERROR(DrainSerial(plan.get(), request, &ctx, &stats,
-                                   &result));
-  if (request.trace != nullptr) {
-    request.trace->FinalizeFromCounters(stats.counters());
-  }
-  result.counters = stats.counters();
+  RODB_RETURN_IF_ERROR(ExecuteSerial(plan.get(), request, ctx, &stats,
+                                     &result));
   return result;
 }
 

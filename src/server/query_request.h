@@ -44,9 +44,8 @@ enum class QueryMode : uint8_t {
 ///
 /// plus every execution knob the subsystems underneath understand. This
 /// subsumes the previous hand-wired entry points (OpenScanner +
-/// Execute, ParallelExecute, SharedScan::AddConsumer): callers describe
-/// the query, `Database::Execute` / `QueryEngine::Execute` decide how
-/// to run it.
+/// Execute, ParallelExecute): callers describe the query,
+/// `Database::Execute` / `QueryEngine::Execute` decide how to run it.
 struct QueryRequest {
   std::string table;                  ///< catalog name
   std::vector<int> projection;        ///< table attr indices; empty = all

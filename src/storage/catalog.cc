@@ -219,6 +219,22 @@ uint64_t OpenTable::FileId(size_t attr) const {
   return FileIdForPath(FilePath(attr));
 }
 
+Status OpenTable::CheckFileSizes() const {
+  for (size_t f = 0; f < meta_.file_bytes.size(); ++f) {
+    const std::string path = FilePath(f);
+    std::error_code ec;
+    uint64_t size = std::filesystem::file_size(path, ec);
+    if (ec) size = 0;
+    if (size != meta_.file_bytes[f]) {
+      return Status::Corruption(
+          "torn table file " + path + ": " + std::to_string(size) +
+          " bytes on disk, meta recorded " +
+          std::to_string(meta_.file_bytes[f]));
+    }
+  }
+  return Status::OK();
+}
+
 Result<std::unique_ptr<AttributeCodec>> OpenTable::MakeAttrCodec(
     size_t attr) const {
   const AttributeDesc& desc = meta_.schema.attribute(attr);

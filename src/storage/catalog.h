@@ -107,6 +107,10 @@ class OpenTable {
   /// Stable id of that physical file (TableMeta::file_ids), for block-
   /// cache keying.
   uint64_t FileId(size_t attr) const;
+  /// Corruption unless every data file is exactly as large as the meta
+  /// recorded: anything else is a torn, truncated or lost write. A
+  /// missing file counts as zero bytes.
+  Status CheckFileSizes() const;
 
   /// Dictionary for attribute `attr` (nullptr unless kDict).
   Dictionary* dict(size_t attr) const { return dicts_[attr].get(); }

@@ -24,8 +24,8 @@ class QueryEngine;
 
 /// A database is a directory of bulk-loaded tables. This handle
 /// enumerates the catalog and opens/drops tables; loading goes through
-/// TableWriter (or the WOS merge), reading through Execute() (or, for
-/// code that needs raw operators, the scanners).
+/// TableWriter (or an ingest table's merge), reading through Execute()
+/// (or, for code that needs raw operators, the scanners).
 class Database {
  public:
   /// Scans `dir` for catalog entries. The directory must exist.
@@ -48,8 +48,8 @@ class Database {
   /// Runs one query through the database's QueryEngine (created lazily
   /// with default EngineOptions on first use; see ConfigureEngine).
   /// This is the public read API: it subsumes hand-wiring OpenScanner +
-  /// Execute, ParallelExecute and SharedScan. Thread-safe; copies of
-  /// this Database share one engine.
+  /// Execute and ParallelExecute. Thread-safe; copies of this Database
+  /// share one engine.
   Result<QueryResult> Execute(const QueryRequest& request);
 
   /// Replaces the engine with one built from `options`. Call before the

@@ -1,18 +1,19 @@
 #include "wos/ingest_store.h"
 
 #include <algorithm>
-#include <atomic>
 #include <filesystem>
+#include <functional>
 #include <numeric>
+#include <queue>
 #include <utility>
 
 #include "common/bytes.h"
 #include "common/macros.h"
 #include "common/thread_pool.h"
+#include "engine/table_cursor.h"
 #include "io/durable_file.h"
 #include "obs/metrics.h"
 #include "storage/table_files.h"
-#include "wos/merge.h"
 
 namespace rodb {
 
@@ -87,20 +88,9 @@ bool IsLifecycleTable(const std::string& table, std::string_view name) {
 /// manifest referenced this table, so recovery cannot silently serve
 /// it -- fail loudly instead.
 Status ValidateTableFiles(const OpenTable& t) {
-  for (size_t f = 0; f < t.meta().file_bytes.size(); ++f) {
-    const std::string path = t.FilePath(f);
-    std::error_code ec;
-    uint64_t size = std::filesystem::file_size(path, ec);
-    if (ec) size = 0;
-    if (size != t.meta().file_bytes[f]) {
-      DurabilityMetrics::Get().torn_pages_detected->Increment();
-      return Status::Corruption(
-          "torn table file " + path + ": " + std::to_string(size) +
-          " bytes on disk, meta recorded " +
-          std::to_string(t.meta().file_bytes[f]));
-    }
-  }
-  return Status::OK();
+  Status s = t.CheckFileSizes();
+  if (!s.ok()) DurabilityMetrics::Get().torn_pages_detected->Increment();
+  return s;
 }
 
 }  // namespace
@@ -416,17 +406,9 @@ Status IngestStore::MergeLocked(const QueryContext* context) {
   std::vector<const OpenTable*> tables;
   if (old_ros != nullptr) tables.push_back(&old_ros->table());
   for (const auto& lease : inputs) tables.push_back(&lease->table());
-
-  // The merge materializes its inputs as raw tuples; reserve that
-  // footprint against the caller's budget (the engine passes its
-  // admission budget through) or a private one from the options.
-  QueryContext ctx = context == nullptr ? QueryContext() : *context;
-  if (ctx.memory_budget() == nullptr && options_.merge_memory_bytes > 0) {
-    ctx.set_memory_budget(
-        std::make_shared<MemoryBudget>(options_.merge_memory_bytes));
-  }
   uint64_t input_tuples = 0;
   for (const OpenTable* t : tables) input_tuples += t->meta().num_tuples;
+
   // Every failure past the no-op early-out above is a failed merge and
   // must show up in rodb.ingest.merge_failures -- the fuzz harness
   // reconciles the counter exactly against its lifecycle model.
@@ -434,67 +416,22 @@ Status IngestStore::MergeLocked(const QueryContext* context) {
     IngestMetrics::Get().merge_failures->Increment();
     return s;
   };
-  Result<MemoryReservation> reserved =
-      ctx.ReserveMemory(input_tuples * tuple_width_);
-  if (!reserved.ok()) return failed(reserved.status());
-  MemoryReservation hold = std::move(*reserved);
-
   if (Status s = CheckFail("merge.read"); !s.ok()) return failed(s);
-  using Run = std::vector<std::vector<uint8_t>>;
-  const size_t n = tables.size();
-  std::vector<Run> runs(n);
-  std::vector<Status> run_status(n);
-  const int par = options_.merge_parallelism;
-  if (par > 1 && n > 1) {
-    // Multi-core read phase: helpers on the shared pool claim inputs
-    // from an atomic cursor and the calling thread claims too, so the
-    // phase degrades to serial (never deadlocks) when the pool is busy
-    // -- e.g. when this very merge is a pool task.
-    struct Phase {
-      std::atomic<size_t> next{0};
-      std::mutex mu;
-      std::condition_variable cv;
-      size_t done = 0;
-    };
-    auto phase = std::make_shared<Phase>();
-    const QueryContext* read_ctx = &ctx;
-    auto work = [phase, n, &runs, &run_status, &tables, read_ctx] {
-      size_t i;
-      while ((i = phase->next.fetch_add(1, std::memory_order_relaxed)) < n) {
-        Result<Run> run = ReadAllTuples(*tables[i], read_ctx);
-        if (run.ok()) {
-          runs[i] = std::move(*run);
-        } else {
-          run_status[i] = run.status();
-        }
-        std::lock_guard<std::mutex> lock(phase->mu);
-        phase->done += 1;
-        phase->cv.notify_all();
-      }
-    };
-    const int helpers = std::min<int>(par - 1, static_cast<int>(n) - 1);
-    for (int h = 0; h < helpers; ++h) ThreadPool::Shared()->Submit(work);
-    work();
-    std::unique_lock<std::mutex> lock(phase->mu);
-    phase->cv.wait(lock, [&] { return phase->done == n; });
-  } else {
-    for (size_t i = 0; i < n; ++i) {
-      Result<Run> run = ReadAllTuples(*tables[i], &ctx);
-      if (run.ok()) {
-        runs[i] = std::move(*run);
-      } else {
-        run_status[i] = run.status();
-      }
-    }
-  }
-  for (const Status& s : run_status) {
-    if (!s.ok()) return failed(s);
-  }
 
-  // Write phase: stable k-way merge (smallest key wins, older input
-  // wins ties -- input 0 is the ROS) into the next generation.
+  // One pass: a stable k-way merge over one streaming cursor per input
+  // (smallest key wins, lower input index wins ties -- input 0 is the
+  // ROS, then the segments oldest first) into the next generation. Each
+  // cursor reserves its page buffers against the context's budget, so
+  // the merge holds pages, never whole inputs.
   const std::string name = GenerationName(table_, gen + 1);
   Status built = [&]() -> Status {
+    const size_t n = tables.size();
+    std::vector<std::unique_ptr<TableCursor>> cursors;
+    for (const OpenTable* t : tables) {
+      RODB_ASSIGN_OR_RETURN(std::unique_ptr<TableCursor> cursor,
+                            TableCursor::Open(*t, context));
+      cursors.push_back(std::move(cursor));
+    }
     RODB_RETURN_IF_ERROR(CheckFail("merge.write"));
     RODB_ASSIGN_OR_RETURN(
         std::unique_ptr<TableWriter> writer,
@@ -502,27 +439,30 @@ Status IngestStore::MergeLocked(const QueryContext* context) {
                             options_.page_size));
     const int key_offset =
         schema_.attr_offset(static_cast<size_t>(options_.sort_attr));
-    std::vector<size_t> idx(n, 0);
+    std::vector<const TupleBlock*> blocks(n, nullptr);
+    std::vector<uint32_t> pos(n, 0);
+    using Head = std::pair<int32_t, size_t>;  // (key, input)
+    std::priority_queue<Head, std::vector<Head>, std::greater<Head>> heap;
+    // Moves input i to its next tuple and queues it, unless drained.
+    const auto advance = [&](size_t i) -> Status {
+      if (blocks[i] == nullptr || ++pos[i] == blocks[i]->size()) {
+        RODB_ASSIGN_OR_RETURN(blocks[i], cursors[i]->Next());
+        pos[i] = 0;
+        if (blocks[i] == nullptr) return Status::OK();
+      }
+      heap.emplace(LoadLE32s(blocks[i]->tuple(pos[i]) + key_offset), i);
+      return Status::OK();
+    };
+    for (size_t i = 0; i < n; ++i) RODB_RETURN_IF_ERROR(advance(i));
     uint64_t appended = 0;
-    while (true) {
-      int best = -1;
-      int32_t best_key = 0;
-      for (size_t i = 0; i < n; ++i) {
-        if (idx[i] >= runs[i].size()) continue;
-        const int32_t key = LoadLE32s(runs[i][idx[i]].data() + key_offset);
-        if (best < 0 || key < best_key) {
-          best = static_cast<int>(i);
-          best_key = key;
-        }
+    while (!heap.empty()) {
+      const size_t i = heap.top().second;
+      heap.pop();
+      if ((appended++ & 0xFFF) == 0 && context != nullptr) {
+        RODB_RETURN_IF_ERROR(context->CheckAlive());
       }
-      if (best < 0) break;
-      if ((appended++ & 0xFFF) == 0) {
-        RODB_RETURN_IF_ERROR(ctx.CheckAlive());
-      }
-      RODB_RETURN_IF_ERROR(
-          writer->Append(runs[static_cast<size_t>(best)]
-                             [idx[static_cast<size_t>(best)]++]
-                                 .data()));
+      RODB_RETURN_IF_ERROR(writer->Append(blocks[i]->tuple(pos[i])));
+      RODB_RETURN_IF_ERROR(advance(i));
     }
     return writer->Finish();
   }();

@@ -33,14 +33,6 @@ struct IngestOptions {
   /// Auto-trigger a background merge once this many frozen segments
   /// accumulate (0 = merge only when Merge()/TriggerMerge() is called).
   size_t merge_segments = 4;
-  /// Worker threads for the merge's read phase (ThreadPool::Shared());
-  /// <= 1 reads inputs serially. The write phase is always one thread
-  /// (a k-way merge is inherently sequential).
-  int merge_parallelism = 1;
-  /// Cap on the bytes one merge may materialize (its inputs are decoded
-  /// to raw tuples); 0 = unlimited. A context passed to Merge() with its
-  /// own budget (e.g. the engine's admission budget) takes precedence.
-  uint64_t merge_memory_bytes = 0;
   /// Relative deadline for a background merge; zero = none.
   std::chrono::milliseconds merge_timeout{0};
   /// Fault-injection hook for the freeze/merge lifecycle: called at the
@@ -184,15 +176,15 @@ class IngestStore {
   Status Freeze();
 
   /// Synchronously merges the current ROS + frozen segments into the
-  /// next generation. No-op when there is nothing to fold. `context`
-  /// carries deadline/cancellation and (optionally) the memory budget
-  /// the materialized inputs are reserved against.
+  /// next generation in one streaming pass. No-op when there is nothing
+  /// to fold. `context` carries deadline/cancellation and (optionally)
+  /// the memory budget the inputs' page buffers are reserved against --
+  /// a fixed amount per input file, independent of table size.
   Status Merge(const QueryContext* context = nullptr);
 
   /// Starts Merge() on the shared thread pool unless one is already in
   /// flight; returns whether a merge was started. The merge's context
-  /// gets options().merge_timeout and a private budget of
-  /// options().merge_memory_bytes.
+  /// gets options().merge_timeout.
   bool TriggerMerge();
   /// Blocks until no background merge is in flight.
   void WaitMergeIdle();

@@ -12,7 +12,7 @@
 #include "engine/column_scanner.h"
 #include "io/fault_injection.h"
 #include "scan_test_util.h"
-#include "wos/merge.h"
+#include "wos/ingest_store.h"
 
 namespace rodb {
 namespace {
@@ -237,15 +237,26 @@ TEST_F(FailureInjectionTest, ChecksumCatchesSilentPayloadCorruption) {
 }
 
 TEST_F(FailureInjectionTest, MergeRejectsCorruptOldStore) {
-  ASSERT_OK_AND_ASSIGN(OpenTable table, OpenTable::Open(dir_.path(), "t_row"));
-  Truncate(table.FilePath(0), 1024);
-  WriteStore wos(schema_);
+  IngestOptions options;
+  options.page_size = 1024;
+  options.freeze_tuples = 0;
+  options.merge_segments = 0;
+  ASSERT_OK_AND_ASSIGN(auto store,
+                       IngestStore::Open(dir_.path(), "ing", schema_, options));
   uint8_t tuple[12] = {0};
   std::memcpy(tuple + 8, "AAAA", 4);
-  ASSERT_OK(wos.Insert(tuple));
-  MergeOptions options;
-  EXPECT_FALSE(
-      MergeIntoReadStore(dir_.path(), "t_row", "t2", &wos, options).ok());
+  for (int i = 0; i < 500; ++i) {
+    StoreLE32s(tuple, i);
+    ASSERT_OK(store->Append(tuple));
+  }
+  ASSERT_OK(store->Freeze());
+  ASSERT_OK(store->Merge());
+  ASSERT_OK(store->Append(tuple));
+  ASSERT_OK(store->Freeze());
+  const Snapshot snap = store->Acquire();
+  Truncate(snap.ros()->FilePath(0), 1024);
+  const Status merged = store->Merge();
+  EXPECT_TRUE(merged.IsCorruption()) << merged.ToString();
 }
 
 TEST_F(FailureInjectionTest, CatalogCardinalityLieDetectedByColumnScan) {

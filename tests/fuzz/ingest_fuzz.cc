@@ -286,7 +286,6 @@ Status Runner::RunIteration(uint64_t iter) {
   ingest_options.page_size = size_t{512} << rng.Uniform(3);  // 512/1024/2048
   ingest_options.sort_attr = static_cast<int>(rng.Uniform(num_attrs));
   ingest_options.merge_segments = 0;  // merges are driven synchronously
-  ingest_options.merge_parallelism = 1 + static_cast<int>(rng.Uniform(2));
 
   // Fault iterations drive the lifecycle manually so every armed fault
   // lands on a driver-issued freeze/merge; clean iterations may let

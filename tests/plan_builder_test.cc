@@ -5,7 +5,6 @@
 #include "common/bytes.h"
 #include "engine/plan_builder.h"
 #include "engine/row_scanner.h"
-#include "engine/shared_scan.h"
 #include "scan_test_util.h"
 
 namespace rodb {
@@ -87,39 +86,26 @@ TEST_F(PlanBuilderTest, MergeJoinPlan) {
   EXPECT_EQ(plan->output_layout().num_attrs(), 4u);
 }
 
-TEST_F(PlanBuilderTest, FromWrapsSharedScanConsumer) {
+TEST_F(PlanBuilderTest, FromWrapsScannerLeaf) {
   ASSERT_OK_AND_ASSIGN(OpenTable table, OpenTable::Open(dir_.path(), "t_row"));
   ScanSpec spec;
   spec.projection = {1, 2};
   spec.read.io_unit_bytes = 4096;
   ASSERT_OK_AND_ASSIGN(auto scan,
                        RowScanner::Make(&table, spec, &backend_, &stats_));
-  SharedScan shared(std::move(scan));
-  auto c1 = shared.AddConsumer();
-  auto c2 = shared.AddConsumer();
   AggPlan count_all;
   count_all.group_column = -1;
   count_all.aggs = {{AggFunc::kCount, 0}};
-  ASSERT_OK_AND_ASSIGN(OperatorPtr q1,
-                       PlanBuilder::From(std::move(c1), &stats_)
+  ASSERT_OK_AND_ASSIGN(OperatorPtr q,
+                       PlanBuilder::From(std::move(scan), &stats_)
                            .Filter({Predicate::Int32(0, CompareOp::kEq, 3)})
                            .HashAggregate(count_all)
                            .Build());
-  ASSERT_OK_AND_ASSIGN(OperatorPtr q2,
-                       PlanBuilder::From(std::move(c2), &stats_)
-                           .HashAggregate(count_all)
-                           .Build());
-  // Interleave the two queries over the shared scan.
-  ASSERT_OK(q1->Open());
-  ASSERT_OK(q2->Open());
-  ASSERT_OK_AND_ASSIGN(TupleBlock * r1, q1->Next());
-  ASSERT_OK_AND_ASSIGN(TupleBlock * r2, q2->Next());
-  ASSERT_NE(r1, nullptr);
-  ASSERT_NE(r2, nullptr);
-  EXPECT_EQ(LoadLE64(r1->attr(0, 0)), 400u);   // 2000 / 5 groups
-  EXPECT_EQ(LoadLE64(r2->attr(0, 0)), 2000u);
-  q1->Close();
-  q2->Close();
+  ASSERT_OK(q->Open());
+  ASSERT_OK_AND_ASSIGN(TupleBlock * r, q->Next());
+  ASSERT_NE(r, nullptr);
+  EXPECT_EQ(LoadLE64(r->attr(0, 0)), 400u);  // 2000 / 5 groups
+  q->Close();
 }
 
 TEST_F(PlanBuilderTest, ErrorsSurfaceAtBuild) {

@@ -1,9 +1,8 @@
 // Resilient query execution (docs/RESILIENCE.md): cooperative
 // cancellation, deadlines and memory budgets threaded through the serial
-// executor, all scanners, the parallel executor, the shared scan and the
-// WOS merge -- plus the leak audits: a query aborted mid-stream must
-// release every block-cache pin and leave no work queued on the shared
-// thread pool.
+// executor, all scanners and the parallel executor -- plus the leak
+// audits: a query aborted mid-stream must release every block-cache pin
+// and leave no work queued on the shared thread pool.
 
 #include "engine/query_context.h"
 
@@ -19,14 +18,12 @@
 #include "engine/executor.h"
 #include "engine/parallel_executor.h"
 #include "engine/plan_builder.h"
-#include "engine/shared_scan.h"
 #include "io/block_cache.h"
 #include "io/fault_injection.h"
 #include "io/file_backend.h"
 #include "obs/metrics.h"
 #include "scan_test_util.h"
 #include "test_util.h"
-#include "wos/merge.h"
 
 namespace rodb {
 namespace {
@@ -322,62 +319,6 @@ TEST_F(ResilienceScanTest, ParallelRunHonorsMemoryBudget) {
   ASSERT_OK_AND_ASSIGN(auto ok_result, ParallelExecute(plan, 3));
   EXPECT_EQ(ok_result.result.rows, tuples_.size());
   EXPECT_EQ(roomy.memory_budget()->used_bytes(), 0u);
-}
-
-// --- shared scan ---
-
-TEST_F(ResilienceScanTest, SharedScanObservesContext) {
-  ASSERT_OK_AND_ASSIGN(OpenTable table, OpenTable::Open(dir_.path(), "t_row"));
-  FileBackend backend;
-  ExecStats stats;
-  ASSERT_OK_AND_ASSIGN(
-      OperatorPtr source,
-      testing::MakeScanner(&table, AllColumnsSpec(), &backend, &stats));
-  SharedScan shared(std::move(source));
-  OperatorPtr consumer = shared.AddConsumer();
-  QueryContext ctx;
-  ctx.Cancel();
-  shared.set_context(&ctx);
-  ASSERT_OK(consumer->Open());
-  auto block = consumer->Next();
-  ASSERT_FALSE(block.ok());
-  EXPECT_EQ(block.status().code(), StatusCode::kCancelled);
-  consumer->Close();
-}
-
-TEST_F(ResilienceScanTest, SharedScanWindowDebitsBudget) {
-  ASSERT_OK_AND_ASSIGN(OpenTable table, OpenTable::Open(dir_.path(), "t_row"));
-  FileBackend backend;
-  ExecStats stats;
-  ASSERT_OK_AND_ASSIGN(
-      OperatorPtr source,
-      testing::MakeScanner(&table, AllColumnsSpec(), &backend, &stats));
-  SharedScan shared(std::move(source));
-  OperatorPtr consumer = shared.AddConsumer();
-  QueryContext ctx;
-  ctx.set_memory_budget(std::make_shared<MemoryBudget>(16));
-  shared.set_context(&ctx);
-  ASSERT_OK(consumer->Open());
-  // The first buffered block is bigger than the budget.
-  auto block = consumer->Next();
-  ASSERT_FALSE(block.ok());
-  EXPECT_EQ(block.status().code(), StatusCode::kResourceExhausted);
-  consumer->Close();
-  EXPECT_EQ(ctx.memory_budget()->used_bytes(), 0u);
-}
-
-// --- WOS merge path ---
-
-TEST_F(ResilienceScanTest, ReadAllTuplesObservesContext) {
-  ASSERT_OK_AND_ASSIGN(OpenTable table, OpenTable::Open(dir_.path(), "t_pax"));
-  QueryContext ctx;
-  ctx.Cancel();
-  auto all = ReadAllTuples(table, &ctx);
-  ASSERT_FALSE(all.ok());
-  EXPECT_EQ(all.status().code(), StatusCode::kCancelled);
-  // And without a context the same call still works.
-  ASSERT_OK_AND_ASSIGN(auto tuples, ReadAllTuples(table));
-  EXPECT_EQ(tuples.size(), tuples_.size());
 }
 
 }  // namespace

@@ -239,7 +239,6 @@ TEST(SnapshotConsistencyTest, ConcurrentReadsSeeConsistentPrefixes) {
   options.page_size = 1024;
   options.freeze_tuples = 256;  // auto-freeze inline on the writer
   options.merge_segments = 2;   // auto-merge on the shared pool
-  options.merge_parallelism = 2;
   ASSERT_OK(db.EnsureIngest("stream", schema, options));
   std::shared_ptr<IngestStore> store = db.ingest("stream");
   ASSERT_NE(store, nullptr);

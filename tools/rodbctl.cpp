@@ -5,7 +5,8 @@
 //   rodbctl describe <dir> <table>
 //       schema, compression specs, per-file page counts
 //   rodbctl verify <dir> <table>
-//       re-read every page of every file with checksum verification
+//       stream and decode every page of every file with checksum
+//       verification
 //   rodbctl scan <dir> <table> [limit [attr op value]] [--trace]
 //       print tuples (optionally filtered by one predicate); `op` is one
 //       of = != < <= > >=; --trace prints the span tree plus the
@@ -50,9 +51,9 @@
 
 #include "advisor/compression_advisor.h"
 #include "common/bytes.h"
-#include "common/file_util.h"
 #include "common/macros.h"
 #include "engine/executor.h"
+#include "engine/table_cursor.h"
 #include "engine/zone_pruner.h"
 #include "io/block_cache.h"
 #include "kernels/scan_kernels.h"
@@ -66,7 +67,6 @@
 #include "storage/table_files.h"
 #include "wos/ingest_store.h"
 #include "wos/manifest.h"
-#include "wos/merge.h"
 
 using namespace rodb;  // NOLINT
 
@@ -151,45 +151,21 @@ Status CmdDescribe(const std::string& dir, const std::string& name) {
 
 Status CmdVerify(const std::string& dir, const std::string& name) {
   RODB_ASSIGN_OR_RETURN(OpenTable table, OpenTable::Open(dir, name));
-  const TableMeta& meta = table.meta();
-  uint64_t pages = 0, tuples = 0;
-  const size_t n_files = meta.file_pages.size();
-  for (size_t f = 0; f < n_files; ++f) {
-    const std::string path = table.FilePath(n_files == 1 ? 0 : f);
-    RODB_ASSIGN_OR_RETURN(std::string blob, ReadFileToString(path));
-    if (blob.size() != meta.file_bytes[f]) {
-      return Status::Corruption(path + ": size " +
-                                std::to_string(blob.size()) +
-                                " != catalog " +
-                                std::to_string(meta.file_bytes[f]));
-    }
-    for (uint64_t p = 0; p < meta.file_pages[f]; ++p) {
-      auto view = PageView::Parse(
-          reinterpret_cast<const uint8_t*>(blob.data()) + p * meta.page_size,
-          meta.page_size, /*verify_checksum=*/true);
-      if (!view.ok()) {
-        return Status::Corruption(path + " page " + std::to_string(p) + ": " +
-                                  view.status().ToString());
-      }
-      ++pages;
-      // Cardinality is counted once: the single file for row/PAX, the
-      // first column file otherwise.
-      if (f == 0) tuples += view->count();
-    }
+  // One streaming decode pass through every codec with page CRCs on:
+  // the cursor also checks file sizes, page counts and cardinality
+  // against the catalog.
+  RODB_ASSIGN_OR_RETURN(std::unique_ptr<TableCursor> cursor,
+                        TableCursor::Open(table, /*context=*/nullptr,
+                                          /*verify_checksums=*/true));
+  while (true) {
+    RODB_ASSIGN_OR_RETURN(const TupleBlock* block, cursor->Next());
+    if (block == nullptr) break;
   }
-  if (tuples != meta.num_tuples) {
-    return Status::Corruption("tuple count " + std::to_string(tuples) +
-                              " != catalog " +
-                              std::to_string(meta.num_tuples));
-  }
-  // Full decode pass through every codec.
-  RODB_ASSIGN_OR_RETURN(auto all, ReadAllTuples(table));
-  if (all.size() != meta.num_tuples) {
-    return Status::Corruption("decoded tuple count mismatch");
-  }
+  uint64_t pages = 0;
+  for (uint64_t p : table.meta().file_pages) pages += p;
   std::printf("%s: OK -- %llu pages verified, %llu tuples decoded\n",
               name.c_str(), static_cast<unsigned long long>(pages),
-              static_cast<unsigned long long>(all.size()));
+              static_cast<unsigned long long>(cursor->tuples_read()));
   return Status::OK();
 }
 
@@ -667,9 +643,18 @@ Status RunIngest(
 
 Status CmdAdvise(const std::string& dir, const std::string& name) {
   RODB_ASSIGN_OR_RETURN(OpenTable table, OpenTable::Open(dir, name));
-  RODB_ASSIGN_OR_RETURN(auto tuples, ReadAllTuples(table));
   constexpr size_t kSample = 20000;
-  if (tuples.size() > kSample) tuples.resize(kSample);
+  std::vector<std::vector<uint8_t>> tuples;
+  RODB_ASSIGN_OR_RETURN(std::unique_ptr<TableCursor> cursor,
+                        TableCursor::Open(table));
+  const size_t width = static_cast<size_t>(table.schema().raw_tuple_width());
+  while (tuples.size() < kSample) {
+    RODB_ASSIGN_OR_RETURN(const TupleBlock* block, cursor->Next());
+    if (block == nullptr) break;
+    for (uint32_t i = 0; i < block->size() && tuples.size() < kSample; ++i) {
+      tuples.emplace_back(block->tuple(i), block->tuple(i) + width);
+    }
+  }
   CompressionAdvisor advisor;
   RODB_ASSIGN_OR_RETURN(Schema advised,
                         advisor.AdviseSchema(table.schema(), tuples));
